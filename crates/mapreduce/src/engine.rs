@@ -1724,11 +1724,8 @@ impl Simulation {
     fn try_schedule(&mut self, cluster: usize) {
         // Maps: next per the sharing policy, preferring a node that hosts
         // the task's block.
-        loop {
+        while let Some((j, idx)) = peek_live(&mut self.clusters[cluster].map_queue, &self.jobs) {
             let c = &self.clusters[cluster];
-            let Some((j, idx)) = c.map_queue.peek() else {
-                break;
-            };
             if !c.free_map.iter().any(|&f| f > 0) {
                 break;
             }
@@ -1737,11 +1734,8 @@ impl Simulation {
             self.start_map(j, idx, node);
         }
         // Reduces: next task to the node with most free reduce slots.
-        loop {
+        while let Some((j, idx)) = peek_live(&mut self.clusters[cluster].reduce_queue, &self.jobs) {
             let c = &self.clusters[cluster];
-            let Some((j, idx)) = c.reduce_queue.peek() else {
-                break;
-            };
             let Some(node) = max_index(&c.free_reduce) else {
                 break;
             };
@@ -2606,6 +2600,22 @@ impl Simulation {
         self.obs_job_spans(j, now);
         self.router_feedback();
     }
+}
+
+/// The next task of `queue` whose job is still running. A crash re-queues
+/// the lost map outputs of a job whose in-flight fetches can still finish
+/// it; such stale tasks are popped here (with `task_finished`, so the
+/// queue's running counts stay balanced) instead of being started against
+/// the finished job's deleted input.
+fn peek_live(queue: &mut TaskQueue, jobs: &[JobState]) -> Option<(usize, u32)> {
+    while let Some((j, idx)) = queue.peek() {
+        if jobs[j].phase != JobPhase::Finished {
+            return Some((j, idx));
+        }
+        queue.pop();
+        queue.task_finished(j);
+    }
+    None
 }
 
 /// Index of the maximum element (first on ties) if it is positive.

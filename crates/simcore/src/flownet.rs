@@ -22,10 +22,19 @@
 //! single pending completion event per network. Between consecutive events
 //! no membership changes occur, so all rates are constant and linear
 //! advancement is exact.
+//!
+//! A change costs work in proportion to what it touches. Adding, cancelling
+//! or completing a flow, or changing a capacity, only marks the resources
+//! whose flow count or capacity moved; the next pass over the flows (the
+//! credit loop of an advance, or [`FlowNetwork::next_completion_time`],
+//! which re-rates and finds the minimum completion in one scan) re-rates
+//! just the flows that cross a marked resource, from the same
+//! `capacity / n` quotient as always, so every rate is bit-equal to a full
+//! recomputation. Busy time is accrued when a resource's flow count moves
+//! between 0 and 1, not on every advance.
 
 use crate::ps::{FlowId, Generation};
 use crate::time::{SimDuration, SimTime, TICKS_PER_SEC};
-use std::collections::BTreeMap;
 
 /// Index of a resource within a [`FlowNetwork`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -39,19 +48,29 @@ struct NetResource {
     name: String,
     capacity: f64,
     active: u32,
+    /// `capacity / active` as of the last re-rate pass; valid while
+    /// `active > 0` and the resource is not marked.
+    share: f64,
+    /// Set when `active` or `capacity` changed since the last re-rate pass
+    /// (the resource is then listed in [`FlowNetwork::marked`]).
+    marked: bool,
     bytes_served: f64,
+    /// Busy time of the closed busy periods.
     busy: SimDuration,
+    /// Start of the open busy period; meaningful while `active > 0`.
+    busy_since: SimTime,
 }
 
 #[derive(Debug, Clone)]
 struct NetFlow {
+    id: FlowId,
     remaining: f64,
     bytes_total: f64,
     started: SimTime,
-    path: Vec<NetResourceId>,
+    path: Box<[NetResourceId]>,
     rate_cap: Option<f64>,
-    /// Rate as of the current membership epoch; only meaningful while
-    /// [`FlowNetwork::rates_fresh`] is set.
+    /// Rate under the current membership, unless a resource on the path is
+    /// marked (then the next pass over the flows re-rates it first).
     rate: f64,
 }
 
@@ -79,28 +98,104 @@ pub struct FlowLogEntry {
 
 /// A set of shared resources and the composite flows crossing them.
 ///
-/// Flows live in a `BTreeMap` keyed by [`FlowId`]: the fluid credit loop
-/// must accumulate `bytes_served` in FlowId order for byte-reproducible
-/// traces, and ordered storage makes that the natural iteration order
-/// instead of a per-advance collect-and-sort. Per-flow rates are cached per
-/// membership epoch (`rates_fresh`), and flows that cross the completion
-/// threshold are recorded in `done_buf` as they cross, so polling does not
-/// rescan the whole network.
+/// Flows live in a `Vec` sorted by [`FlowId`]: the fluid credit loop must
+/// accumulate `bytes_served` in FlowId order for byte-reproducible traces,
+/// and sorted storage makes that the natural iteration order. New flows are
+/// placed by binary search; the engine's increasing ids land at the end, so
+/// inserting moves nothing. Per-flow rates are cached and re-rated only for flows
+/// crossing a resource marked by a membership or capacity change, and
+/// flows that cross the completion threshold are recorded in `done_buf` as
+/// they cross, so polling does not rescan the whole network.
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     resources: Vec<NetResource>,
-    flows: BTreeMap<FlowId, NetFlow>,
+    flows: Vec<NetFlow>,
     last_update: SimTime,
     generation: u64,
-    /// True while every `NetFlow::rate` reflects the current membership.
-    /// Cleared by any membership or capacity change.
-    rates_fresh: bool,
+    /// Resources whose `marked` flag is set, each listed once.
+    marked: Vec<NetResourceId>,
     /// Flows whose `remaining` has crossed [`DONE_EPS_BYTES`] and which have
     /// not yet been returned by [`Self::poll_completions`] (may contain ids
     /// cancelled since they crossed).
     done_buf: Vec<FlowId>,
     log_flows: bool,
     flow_log: Vec<FlowLogEntry>,
+}
+
+/// `min(rate_cap, share(r) for r on path)`, or `f64::MAX` for a pathless,
+/// uncapped flow. Every cached and reported rate comes from this fold.
+fn path_rate(
+    rate_cap: Option<f64>,
+    path: &[NetResourceId],
+    share: impl Fn(NetResourceId) -> f64,
+) -> f64 {
+    let mut rate = rate_cap.unwrap_or(f64::INFINITY);
+    for &r in path {
+        rate = rate.min(share(r));
+    }
+    if rate.is_finite() {
+        rate
+    } else {
+        // Pathless, uncapped flow: completes instantly (latency-only).
+        f64::MAX
+    }
+}
+
+fn mark(resources: &mut [NetResource], marked: &mut Vec<NetResourceId>, r: NetResourceId) {
+    let res = &mut resources[r.0 as usize];
+    if !res.marked {
+        res.marked = true;
+        marked.push(r);
+    }
+}
+
+/// One more flow crosses `r` from `now` on.
+fn acquire(
+    resources: &mut [NetResource],
+    marked: &mut Vec<NetResourceId>,
+    r: NetResourceId,
+    now: SimTime,
+) {
+    let res = &mut resources[r.0 as usize];
+    if res.active == 0 {
+        res.busy_since = now;
+    }
+    res.active += 1;
+    mark(resources, marked, r);
+}
+
+/// One flow leaves `r` at `now`.
+///
+/// # Panics
+/// Panics, in release builds too, if `r` carries no flow: the flow counts
+/// would otherwise wrap and corrupt every later rate.
+fn release(
+    resources: &mut [NetResource],
+    marked: &mut Vec<NetResourceId>,
+    r: NetResourceId,
+    now: SimTime,
+) {
+    let res = &mut resources[r.0 as usize];
+    res.active = res.active.checked_sub(1).unwrap_or_else(|| {
+        panic!(
+            "flow network: resource `{}` released with no active flow",
+            res.name
+        )
+    });
+    if res.active == 0 {
+        res.busy += now.since(res.busy_since);
+    }
+    mark(resources, marked, r);
+}
+
+/// Re-rate `fl` if a resource on its path is marked (shares of marked
+/// resources must already be current).
+#[inline]
+fn rerate_if_marked(fl: &mut NetFlow, resources: &[NetResource]) {
+    let path = &fl.path;
+    if path.iter().any(|r| resources[r.0 as usize].marked) {
+        fl.rate = path_rate(fl.rate_cap, path, |r| resources[r.0 as usize].share);
+    }
 }
 
 impl FlowNetwork {
@@ -123,8 +218,11 @@ impl FlowNetwork {
             name: name.into(),
             capacity,
             active: 0,
+            share: 0.0,
+            marked: false,
             bytes_served: 0.0,
             busy: SimDuration::ZERO,
+            busy_since: SimTime::ZERO,
         });
         id
     }
@@ -160,7 +258,7 @@ impl FlowNetwork {
         );
         self.advance(now);
         self.resources[r.0 as usize].capacity = capacity;
-        self.rates_fresh = false;
+        mark(&mut self.resources, &mut self.marked, r);
         self.generation += 1;
         Generation(self.generation)
     }
@@ -172,7 +270,12 @@ impl FlowNetwork {
 
     /// Time resource `r` has spent with ≥1 active flow, up to the last update.
     pub fn resource_busy_time(&self, r: NetResourceId) -> SimDuration {
-        self.resources[r.0 as usize].busy
+        let res = &self.resources[r.0 as usize];
+        if res.active > 0 {
+            res.busy + self.last_update.since(res.busy_since)
+        } else {
+            res.busy
+        }
     }
 
     /// Number of flows currently touching resource `r`.
@@ -211,44 +314,36 @@ impl FlowNetwork {
 
     /// Current rate of flow `f` in bytes/s, or `None` if not active.
     pub fn flow_rate(&self, f: FlowId) -> Option<f64> {
-        self.flows.get(&f).map(|fl| self.rate_of(fl))
-    }
-
-    fn rate_of(&self, flow: &NetFlow) -> f64 {
-        let mut rate = flow.rate_cap.unwrap_or(f64::INFINITY);
-        for &r in &flow.path {
+        let fl = &self.flows[self.position(f).ok()?];
+        Some(path_rate(fl.rate_cap, &fl.path, |r| {
             let res = &self.resources[r.0 as usize];
             debug_assert!(res.active > 0);
-            rate = rate.min(res.capacity / res.active as f64);
-        }
-        if rate.is_finite() {
-            rate
-        } else {
-            // Pathless, uncapped flow: completes instantly (latency-only).
-            f64::MAX
-        }
+            res.capacity / res.active as f64
+        }))
     }
 
-    /// Recompute every flow's cached rate for the current membership. Called
-    /// lazily: at most once per membership epoch, by whichever of `advance`
-    /// or [`Self::next_completion_time`] needs rates first.
-    fn refresh_rates(&mut self) {
-        let resources = &self.resources;
-        for fl in self.flows.values_mut() {
-            let mut rate = fl.rate_cap.unwrap_or(f64::INFINITY);
-            for &r in &fl.path {
-                let res = &resources[r.0 as usize];
-                debug_assert!(res.active > 0);
-                rate = rate.min(res.capacity / res.active as f64);
+    /// Index of flow `id` in `flows`, or where it would be inserted.
+    fn position(&self, id: FlowId) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&id, |fl| fl.id)
+    }
+
+    /// Bring the shares of marked resources up to date. Returns whether any
+    /// resource is marked, i.e. whether the caller's pass over the flows must
+    /// re-rate (and then call [`Self::clear_marks`]).
+    fn refresh_shares(&mut self) -> bool {
+        for &r in &self.marked {
+            let res = &mut self.resources[r.0 as usize];
+            if res.active > 0 {
+                res.share = res.capacity / res.active as f64;
             }
-            fl.rate = if rate.is_finite() {
-                rate
-            } else {
-                // Pathless, uncapped flow: completes instantly (latency-only).
-                f64::MAX
-            };
         }
-        self.rates_fresh = true;
+        !self.marked.is_empty()
+    }
+
+    fn clear_marks(&mut self) {
+        for r in self.marked.drain(..) {
+            self.resources[r.0 as usize].marked = false;
+        }
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -257,16 +352,17 @@ impl FlowNetwork {
         if dt > 0.0 && !self.flows.is_empty() {
             // Rates are constant over (last_update, now]: membership changes
             // always advance first, and completions are event boundaries.
-            if !self.rates_fresh {
-                self.refresh_rates();
-            }
+            let rerate = self.refresh_shares();
             // Accumulate in FlowId order: `bytes_served` sums floats across
             // flows, so unordered iteration would leak per-process ULP noise
-            // into otherwise byte-reproducible traces. The BTreeMap iterates
-            // in exactly that order.
+            // into otherwise byte-reproducible traces. The sorted `Vec`
+            // iterates in exactly that order.
             let resources = &mut self.resources;
             let done_buf = &mut self.done_buf;
-            for (&id, fl) in self.flows.iter_mut() {
+            for fl in &mut self.flows {
+                if rerate {
+                    rerate_if_marked(fl, resources);
+                }
                 let was_done = fl.remaining <= DONE_EPS_BYTES;
                 let credit = (fl.rate * dt).min(fl.remaining);
                 fl.remaining -= credit;
@@ -276,14 +372,11 @@ impl FlowNetwork {
                     resources[r.0 as usize].bytes_served += credit;
                 }
                 if !was_done && fl.remaining <= DONE_EPS_BYTES {
-                    done_buf.push(id);
+                    done_buf.push(fl.id);
                 }
             }
-            let busy_dt = now.since(self.last_update);
-            for res in &mut self.resources {
-                if res.active > 0 {
-                    res.busy += busy_dt;
-                }
+            if rerate {
+                self.clear_marks();
             }
         }
         self.last_update = now;
@@ -309,9 +402,11 @@ impl FlowNetwork {
             "flow size must be non-negative"
         );
         self.advance(now);
-        assert!(!self.flows.contains_key(&id), "flow {id:?} already active");
+        let Err(at) = self.position(id) else {
+            panic!("flow {id:?} already active");
+        };
         for &r in path {
-            self.resources[r.0 as usize].active += 1;
+            acquire(&mut self.resources, &mut self.marked, r, now);
         }
         // A pathless, uncapped flow has infinite rate: it is a pure-latency
         // transfer whose bytes are already "delivered".
@@ -324,17 +419,19 @@ impl FlowNetwork {
             self.done_buf.push(id);
         }
         self.flows.insert(
-            id,
+            at,
             NetFlow {
+                id,
                 remaining,
                 bytes_total: bytes,
                 started: now,
-                path: path.to_vec(),
+                path: path.into(),
                 rate_cap,
-                rate: 0.0,
+                // A flow with a path crosses resources `acquire` just marked,
+                // so the next pass rates it; a pathless rate never changes.
+                rate: path_rate(rate_cap, &[], |_| unreachable!()),
             },
         );
-        self.rates_fresh = false;
         self.generation += 1;
         Generation(self.generation)
     }
@@ -342,22 +439,28 @@ impl FlowNetwork {
     /// Abort a flow, returning its unserved bytes (`None` if not active).
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
-        for &r in &flow.path {
-            self.resources[r.0 as usize].active -= 1;
-        }
-        self.rates_fresh = false;
+        let flow = self.remove_at(self.position(id).ok()?, now, true);
         self.generation += 1;
+        Some(flow.remaining)
+    }
+
+    /// Remove the flow at index `i` of `flows` at `now`: release its
+    /// resources and log it if the flow log is on.
+    fn remove_at(&mut self, i: usize, now: SimTime, cancelled: bool) -> NetFlow {
+        let flow = self.flows.remove(i);
+        for &r in &flow.path {
+            release(&mut self.resources, &mut self.marked, r, now);
+        }
         if self.log_flows {
             self.flow_log.push(FlowLogEntry {
-                id,
+                id: flow.id,
                 bytes: flow.bytes_total,
                 started: flow.started,
                 ended: now,
-                cancelled: true,
+                cancelled,
             });
         }
-        Some(flow.remaining)
+        flow
     }
 
     /// Advance to `now` and remove+return all finished flows in FlowId order.
@@ -368,39 +471,29 @@ impl FlowNetwork {
         }
         // `done_buf` holds every flow that has crossed the completion
         // threshold since the previous poll; cancelled flows are filtered out
-        // (a flow's `remaining` never grows, so anything still present is
-        // still finished).
-        let mut done: Vec<FlowId> = std::mem::take(&mut self.done_buf)
-            .into_iter()
-            .filter(|id| self.flows.contains_key(id))
-            .collect();
+        // (a flow's `remaining` never grows, so anything still present under
+        // the same id and below the threshold is still finished).
+        let mut done = std::mem::take(&mut self.done_buf);
+        done.sort_unstable();
+        done.dedup();
+        done.retain(|&id| {
+            self.position(id)
+                .is_ok_and(|i| self.flows[i].remaining <= DONE_EPS_BYTES)
+        });
         debug_assert!(
             done.len()
                 == self
                     .flows
-                    .values()
+                    .iter()
                     .filter(|fl| fl.remaining <= DONE_EPS_BYTES)
                     .count(),
             "done buffer out of sync with flow residuals"
         );
         if !done.is_empty() {
-            done.sort_unstable();
-            for id in &done {
-                let flow = self.flows.remove(id).expect("completion of unknown flow");
-                for &r in &flow.path {
-                    self.resources[r.0 as usize].active -= 1;
-                }
-                if self.log_flows {
-                    self.flow_log.push(FlowLogEntry {
-                        id: *id,
-                        bytes: flow.bytes_total,
-                        started: flow.started,
-                        ended: now,
-                        cancelled: false,
-                    });
-                }
+            for &id in &done {
+                let i = self.position(id).expect("finished flows are present");
+                self.remove_at(i, now, false);
             }
-            self.rates_fresh = false;
             self.generation += 1;
         }
         done
@@ -412,18 +505,25 @@ impl FlowNetwork {
         if self.flows.is_empty() {
             return None;
         }
-        if !self.rates_fresh {
-            self.refresh_rates();
-        }
         let since = now.since(self.last_update).as_secs_f64();
+        // One pass: re-rate the flows a change touched, then take the
+        // minimum time to completion.
+        let rerate = self.refresh_shares();
+        let resources = &self.resources;
         let mut min_secs = f64::INFINITY;
-        for fl in self.flows.values() {
+        for fl in &mut self.flows {
+            if rerate {
+                rerate_if_marked(fl, resources);
+            }
             let rate = fl.rate;
             if rate <= 0.0 {
                 continue;
             }
             let remaining = (fl.remaining - rate * since).max(0.0);
             min_secs = min_secs.min(remaining / rate);
+        }
+        if rerate {
+            self.clear_marks();
         }
         if !min_secs.is_finite() {
             return None;
@@ -586,5 +686,63 @@ mod tests {
         assert!((net.resource_bytes_served(a) - 100.0).abs() < 1e-3);
         assert!((net.resource_bytes_served(b) - 100.0).abs() < 1e-3);
         assert!((net.resource_busy_time(a).as_secs_f64() - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn busy_time_counts_only_busy_periods() {
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("disk", 100.0);
+        net.add_flow(SimTime::ZERO, FlowId(1), 100.0, &[r], None);
+        let t = net.next_completion_time(SimTime::ZERO).unwrap();
+        assert_eq!(net.poll_completions(t), vec![FlowId(1)]);
+        assert_eq!(net.resource_busy_time(r), SimDuration::from_secs(1));
+        // Idle from 1 s to 3 s, then busy again: an open period counts up
+        // to the last update.
+        net.add_flow(SimTime::from_secs(3), FlowId(2), 200.0, &[r], None);
+        net.poll_completions(SimTime::from_secs(4));
+        assert_eq!(net.resource_busy_time(r), SimDuration::from_secs(2));
+        let t = net.next_completion_time(SimTime::from_secs(4)).unwrap();
+        net.poll_completions(t);
+        assert_eq!(net.resource_busy_time(r), SimDuration::from_secs(3));
+    }
+
+    #[test]
+    fn out_of_order_ids_complete_in_id_order() {
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("disk", 100.0);
+        for id in [5, 2, 9, 1] {
+            net.add_flow(SimTime::ZERO, FlowId(id), 100.0, &[r], None);
+        }
+        let t = net.next_completion_time(SimTime::ZERO).unwrap();
+        let ids: Vec<FlowId> = [1, 2, 5, 9].map(FlowId).to_vec();
+        assert_eq!(net.poll_completions(t), ids);
+    }
+
+    #[test]
+    fn an_id_reused_after_cancel_completes_once() {
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("disk", 100.0);
+        // Flow 1 finishes, is cancelled before the poll, and its id returns:
+        // first for a pathless flow that is done at once, then for a real
+        // transfer that must not be reported until it has run.
+        net.add_flow(SimTime::ZERO, FlowId(1), 0.0, &[r], None);
+        net.cancel_flow(SimTime::ZERO, FlowId(1)).unwrap();
+        net.add_flow(SimTime::ZERO, FlowId(1), 5.0, &[], None);
+        assert_eq!(net.poll_completions(SimTime::ZERO), vec![FlowId(1)]);
+        net.add_flow(SimTime::ZERO, FlowId(2), 0.0, &[r], None);
+        net.cancel_flow(SimTime::ZERO, FlowId(2)).unwrap();
+        net.add_flow(SimTime::ZERO, FlowId(2), 100.0, &[r], None);
+        assert!(net.poll_completions(SimTime::ZERO).is_empty());
+        let t = net.next_completion_time(SimTime::ZERO).unwrap();
+        assert_eq!(t, SimTime::from_secs(1));
+        assert_eq!(net.poll_completions(t), vec![FlowId(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "resource `nic` released with no active flow")]
+    fn releasing_an_idle_resource_panics_with_its_name() {
+        let mut net = FlowNetwork::new();
+        let r = net.add_resource("nic", 100.0);
+        release(&mut net.resources, &mut net.marked, r, SimTime::ZERO);
     }
 }

@@ -362,3 +362,49 @@ fn stragglers_slow_but_do_not_fail() {
     assert!(out.fault_stats.straggler_attempts > 0);
     assert_eq!(out.fault_stats.node_crashes, 0);
 }
+
+/// A crash re-queues the lost maps of a job whose reducer fetches are
+/// already in flight; those fetches can still finish the job and delete its
+/// input. The stale maps must be dropped at dispatch instead of starting
+/// and reading a deleted file (the durable backend panicked with
+/// `unknown file` here). The case: an 8000-job FB-2009 stream (seed 4) on
+/// racked THadoop with 3x rack-aware durable replication and a seeded crash
+/// plan, whose first such crash comes about 3100 simulated seconds in; its
+/// first 1200 jobs cover it. The replay runs to completion, every job
+/// reports exactly once, and map outputs were really lost along the way.
+#[test]
+fn maps_requeued_by_a_crash_are_dropped_once_their_job_finishes() {
+    let jobs = 1200;
+    let window = SimDuration::from_secs(38_400);
+    let cfg = FacebookTraceConfig {
+        jobs: 8000,
+        seed: 4,
+        window,
+        ..Default::default()
+    };
+    let tuning = DeploymentTuning {
+        durability: Some(DurabilityConfig::default()),
+        racks: 4,
+        fault: FaultPlan::generate(
+            simcore::rng::derive_seed(4, 0x5707),
+            &FaultRates::scaled(1.0),
+            window,
+            &[24],
+            0,
+        ),
+        ..Default::default()
+    };
+    let out = hybrid_core::run_trace_streaming_with(
+        Architecture::THadoop,
+        &CrossPointScheduler::default(),
+        workload::facebook::stream(&cfg).take(jobs),
+        &tuning,
+    );
+    assert_eq!(out.results.len(), jobs, "every job reports");
+    let mut ids: Vec<u32> = out.results.iter().map(|r| r.id.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), jobs, "no job reports twice");
+    assert!(out.fault_stats.node_crashes > 0);
+    assert!(out.fault_stats.map_outputs_lost > 0, "the crash path ran");
+}
