@@ -160,9 +160,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting a request may use. The reader recurses
+/// once per level, so without a limit one line of `[`s overflows the stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,6 +176,7 @@ impl<'a> Parser<'a> {
         Parser {
             s: s.as_bytes(),
             i: 0,
+            depth: 0,
         }
     }
 
@@ -195,14 +202,28 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parse one array or object, refusing to open more than [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -842,5 +863,34 @@ fn main() {
         std::fs::write(&path, doc.render_incidents_json())
             .unwrap_or_else(|e| panic!("writing --incidents-out {path}: {e}"));
         eprintln!("wrote incident report to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_limited_without_recursing_past_the_limit() {
+        assert!(parse_line(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_line(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Deep enough to overflow the stack of an unlimited reader.
+        assert!(parse_line(&"[".repeat(200_000)).is_err());
+        let batch = format!("{{\"op\":\"batch\",\"jobs\":{}}}", "[".repeat(200_000));
+        assert!(parse_line(&batch).is_err());
+    }
+
+    #[test]
+    fn siblings_do_not_add_up_to_the_limit() {
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 100].join(","));
+        assert!(parse_line(&wide).is_ok());
+        let deepest = nested(MAX_DEPTH - 1);
+        let obj = format!("{{\"a\":{deepest},\"b\":{deepest}}}");
+        assert!(parse_line(&obj).is_ok());
     }
 }

@@ -903,10 +903,14 @@ impl Simulation {
                 self.run_windowed(threads.max(1), window.max(2));
             }
         }
-        debug_assert!(
-            self.jobs.iter().all(|job| job.phase == JobPhase::Finished),
-            "event queue drained with unfinished jobs"
-        );
+        // O(jobs) once per run, so it holds in release builds too: a lost
+        // event would otherwise return partial results silently.
+        if let Some(job) = self.jobs.iter().find(|job| job.phase != JobPhase::Finished) {
+            panic!(
+                "event queue drained with unfinished jobs: first is {:?} ({:?})",
+                job.spec.id, job.phase
+            );
+        }
         self.obs_resource_summary();
         let end = self.queue.now();
         for s in &mut self.sinks {
@@ -1105,7 +1109,9 @@ impl Simulation {
         &self.results
     }
 
-    /// Number of events processed (diagnostics / benches).
+    /// Number of events processed (diagnostics / benches). A network poll
+    /// superseded by a newer generation leaves the queue without popping,
+    /// so it is not counted; a poll that still pops stale is.
     pub fn events_processed(&self) -> u64 {
         self.queue.events_processed()
     }
@@ -2167,15 +2173,13 @@ impl Simulation {
         steps.push_back(Step::Fail);
     }
 
+    /// Queue the network's next completion, superseding every poll queued
+    /// under an older generation (those could only pop as stale no-ops).
     fn schedule_net_poll(&mut self) {
         let now = self.queue.now();
         if let Some(t) = self.net.next_completion_time(now) {
-            self.queue.push(
-                t,
-                Ev::NetPoll {
-                    gen: self.net.generation().0,
-                },
-            );
+            let gen = self.net.generation().0;
+            self.queue.push_timer(t, gen, Ev::NetPoll { gen });
         }
     }
 

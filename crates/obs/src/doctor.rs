@@ -1286,9 +1286,16 @@ mod restore {
         }
     }
 
+    /// Deepest array/object nesting a document may use. The reader
+    /// recurses once per level, so without a limit a crafted file of `[`s
+    /// overflows the stack.
+    const MAX_DEPTH: usize = 64;
+
     struct Parser<'a> {
         s: &'a [u8],
         i: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -1314,14 +1321,28 @@ mod restore {
 
         fn value(&mut self) -> Result<Json, String> {
             match self.peek().ok_or("unexpected end of input")? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                b'{' => self.nested(Self::object),
+                b'[' => self.nested(Self::array),
                 b'"' => Ok(Json::Str(self.string()?)),
                 b't' => self.literal("true", Json::Bool(true)),
                 b'f' => self.literal("false", Json::Bool(false)),
                 b'n' => self.literal("null", Json::Null),
                 _ => self.number(),
             }
+        }
+
+        /// Parse one array or object, refusing to open more than [`MAX_DEPTH`].
+        fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.i
+                ));
+            }
+            self.depth += 1;
+            let v = parse(self);
+            self.depth -= 1;
+            v
         }
 
         fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -1448,6 +1469,7 @@ mod restore {
         let mut p = Parser {
             s: doc.as_bytes(),
             i: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.ws();
@@ -2078,5 +2100,15 @@ mod tests {
             .snapshot_json()
             .replace("hybrid-hadoop-doctor/v1", "hybrid-hadoop-doctor/v0");
         assert!(Doctor::restore(&doc).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_deep_nesting_without_overflowing() {
+        let err = Doctor::restore(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // The limit is on depth, not on the number of values: a real
+        // snapshot still restores.
+        let doc = Doctor::new(DoctorConfig::default()).snapshot_json();
+        assert!(Doctor::restore(&doc).is_ok());
     }
 }

@@ -18,9 +18,13 @@
 //! # Engine contract
 //!
 //! Same generation-stamped scheme as `PsResource`, but network-wide: any
-//! membership change bumps one global generation, and the engine keeps a
-//! single pending completion event per network. Between consecutive events
-//! no membership changes occur, so all rates are constant and linear
+//! membership change bumps one global generation. The engine queues its
+//! completion poll with [`crate::EventQueue::push_timer`], using the
+//! generation as the timer epoch, so only the current generation's polls
+//! sit in the queue: a reschedule drops every older one. A poll can still
+//! pop stale when the generation moved without a reschedule, so the
+//! engine keeps checking the stamp. Between consecutive events no
+//! membership changes occur, so all rates are constant and linear
 //! advancement is exact.
 //!
 //! A change costs work in proportion to what it touches. Adding, cancelling
@@ -30,8 +34,11 @@
 //! which re-rates and finds the minimum completion in one scan) re-rates
 //! just the flows that cross a marked resource, from the same
 //! `capacity / n` quotient as always, so every rate is bit-equal to a full
-//! recomputation. Busy time is accrued when a resource's flow count moves
-//! between 0 and 1, not on every advance.
+//! recomputation. Each flow carries a 64-bit mask with bit `r mod 64` set
+//! for every resource on its path; a pass ORs the bits of the marked
+//! resources and walks only the paths whose mask intersects, so most
+//! untouched flows cost one AND. Busy time is accrued when a resource's
+//! flow count moves between 0 and 1, not on every advance.
 
 use crate::ps::{FlowId, Generation};
 use crate::time::{SimDuration, SimTime, TICKS_PER_SEC};
@@ -69,6 +76,9 @@ struct NetFlow {
     started: SimTime,
     path: Box<[NetResourceId]>,
     rate_cap: Option<f64>,
+    /// Bit `r mod 64` set for every resource `r` on the path: a cheap
+    /// pre-filter for "does the path cross a marked resource".
+    mask: u64,
     /// Rate under the current membership, unless a resource on the path is
     /// marked (then the next pass over the flows re-rates it first).
     rate: f64,
@@ -141,6 +151,11 @@ fn path_rate(
     }
 }
 
+/// The [`NetFlow::mask`] bit of resource `r`.
+fn mask_bit(r: NetResourceId) -> u64 {
+    1 << (r.0 % 64)
+}
+
 fn mark(resources: &mut [NetResource], marked: &mut Vec<NetResourceId>, r: NetResourceId) {
     let res = &mut resources[r.0 as usize];
     if !res.marked {
@@ -189,11 +204,13 @@ fn release(
 }
 
 /// Re-rate `fl` if a resource on its path is marked (shares of marked
-/// resources must already be current).
+/// resources must already be current). `marked_mask` ORs the mask bits of
+/// the marked resources; a flow sharing none of them is skipped without
+/// walking its path, and a shared bit only means the exact check runs.
 #[inline]
-fn rerate_if_marked(fl: &mut NetFlow, resources: &[NetResource]) {
+fn rerate_if_marked(fl: &mut NetFlow, resources: &[NetResource], marked_mask: u64) {
     let path = &fl.path;
-    if path.iter().any(|r| resources[r.0 as usize].marked) {
+    if fl.mask & marked_mask != 0 && path.iter().any(|r| resources[r.0 as usize].marked) {
         fl.rate = path_rate(fl.rate_cap, path, |r| resources[r.0 as usize].share);
     }
 }
@@ -327,17 +344,20 @@ impl FlowNetwork {
         self.flows.binary_search_by_key(&id, |fl| fl.id)
     }
 
-    /// Bring the shares of marked resources up to date. Returns whether any
-    /// resource is marked, i.e. whether the caller's pass over the flows must
-    /// re-rate (and then call [`Self::clear_marks`]).
-    fn refresh_shares(&mut self) -> bool {
+    /// Bring the shares of marked resources up to date. Returns the OR of
+    /// their mask bits: nonzero when any resource is marked, i.e. when the
+    /// caller's pass over the flows must re-rate (and then call
+    /// [`Self::clear_marks`]).
+    fn refresh_shares(&mut self) -> u64 {
+        let mut mask = 0;
         for &r in &self.marked {
             let res = &mut self.resources[r.0 as usize];
             if res.active > 0 {
                 res.share = res.capacity / res.active as f64;
             }
+            mask |= mask_bit(r);
         }
-        !self.marked.is_empty()
+        mask
     }
 
     fn clear_marks(&mut self) {
@@ -352,7 +372,7 @@ impl FlowNetwork {
         if dt > 0.0 && !self.flows.is_empty() {
             // Rates are constant over (last_update, now]: membership changes
             // always advance first, and completions are event boundaries.
-            let rerate = self.refresh_shares();
+            let marked_mask = self.refresh_shares();
             // Accumulate in FlowId order: `bytes_served` sums floats across
             // flows, so unordered iteration would leak per-process ULP noise
             // into otherwise byte-reproducible traces. The sorted `Vec`
@@ -360,8 +380,8 @@ impl FlowNetwork {
             let resources = &mut self.resources;
             let done_buf = &mut self.done_buf;
             for fl in &mut self.flows {
-                if rerate {
-                    rerate_if_marked(fl, resources);
+                if marked_mask != 0 {
+                    rerate_if_marked(fl, resources, marked_mask);
                 }
                 let was_done = fl.remaining <= DONE_EPS_BYTES;
                 let credit = (fl.rate * dt).min(fl.remaining);
@@ -375,7 +395,7 @@ impl FlowNetwork {
                     done_buf.push(fl.id);
                 }
             }
-            if rerate {
+            if marked_mask != 0 {
                 self.clear_marks();
             }
         }
@@ -427,6 +447,7 @@ impl FlowNetwork {
                 started: now,
                 path: path.into(),
                 rate_cap,
+                mask: path.iter().fold(0, |m, &r| m | mask_bit(r)),
                 // A flow with a path crosses resources `acquire` just marked,
                 // so the next pass rates it; a pathless rate never changes.
                 rate: path_rate(rate_cap, &[], |_| unreachable!()),
@@ -508,12 +529,12 @@ impl FlowNetwork {
         let since = now.since(self.last_update).as_secs_f64();
         // One pass: re-rate the flows a change touched, then take the
         // minimum time to completion.
-        let rerate = self.refresh_shares();
+        let marked_mask = self.refresh_shares();
         let resources = &self.resources;
         let mut min_secs = f64::INFINITY;
         for fl in &mut self.flows {
-            if rerate {
-                rerate_if_marked(fl, resources);
+            if marked_mask != 0 {
+                rerate_if_marked(fl, resources, marked_mask);
             }
             let rate = fl.rate;
             if rate <= 0.0 {
@@ -522,7 +543,7 @@ impl FlowNetwork {
             let remaining = (fl.remaining - rate * since).max(0.0);
             min_secs = min_secs.min(remaining / rate);
         }
-        if rerate {
+        if marked_mask != 0 {
             self.clear_marks();
         }
         if !min_secs.is_finite() {

@@ -435,11 +435,15 @@ fn bits(x: Option<f64>) -> Option<u64> {
 
 impl Pair {
     fn new(rng: &mut DetRng, logging: bool) -> Self {
+        let n = rng.range_usize(1, 10);
+        Self::with_resources(rng, logging, n)
+    }
+
+    fn with_resources(rng: &mut DetRng, logging: bool, n: usize) -> Self {
         let mut new = FlowNetwork::new();
         let mut old = oracle::FlowNetwork::new();
         new.set_flow_logging(logging);
         old.set_flow_logging(logging);
-        let n = rng.range_usize(1, 10);
         let resources = (0..n)
             .map(|i| {
                 let cap = rng.range_f64(10.0, 1.0e4);
@@ -686,4 +690,50 @@ fn crowded_network_matches_the_oracle() {
         }
         assert!(pair.cov.completions > 0);
     }
+}
+
+/// More than 128 resources, so several share each bit of a flow's path
+/// mask (`r mod 64`): paths cross `r`, `r + 64` and `r + 128`, alone and
+/// together, and a change to one resource must re-rate exactly the flows
+/// crossing it, never a flow that only shares its bit.
+#[test]
+fn aliased_mask_bits_match_the_oracle() {
+    const RESOURCES: usize = 140;
+    let mut aliased = 0;
+    for case in 0..8 {
+        let mut rng = substream(0xF10E_0004, case);
+        let mut pair = Pair::with_resources(&mut rng, false, RESOURCES);
+        for op in 0..1_500 {
+            if rng.chance(0.3) {
+                // A few low bits, so flows keep meeting on them.
+                let r = rng.range_usize(0, 6);
+                let path: Vec<NetResourceId> = [r, r + 64, r + 128]
+                    .into_iter()
+                    .filter(|_| rng.chance(0.6))
+                    .map(|i| pair.resources[i])
+                    .collect();
+                aliased += usize::from(path.len() > 1);
+                let id = pair.fresh_id(&mut rng);
+                let cap = rng.chance(0.2).then(|| rng.range_f64(1.0, 1.0e5));
+                let bytes = rng.range_f64(1.0, 1.0e6);
+                let g = pair.new.add_flow(pair.now, id, bytes, &path, cap);
+                assert_eq!(g, pair.old.add_flow(pair.now, id, bytes, &path, cap));
+                pair.live.push(id);
+            } else if rng.chance(0.1) {
+                // A capacity change on one of the aliased resources.
+                let r = pair.resources[rng.range_usize(0, 6) + 64 * rng.range_usize(0, 3)];
+                let cap = rng.range_f64(1.0, 1.0e4);
+                let g = pair.new.set_resource_capacity(pair.now, r, cap);
+                assert_eq!(g, pair.old.set_resource_capacity(pair.now, r, cap));
+            } else {
+                pair.step(&mut rng);
+            }
+            pair.check(&format!("case {case} op {op}"));
+        }
+        assert!(pair.cov.completions > 0);
+    }
+    assert!(
+        aliased >= 100,
+        "only {aliased} paths with aliased resources"
+    );
 }
