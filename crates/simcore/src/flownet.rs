@@ -27,21 +27,37 @@
 //! membership changes occur, so all rates are constant and linear
 //! advancement is exact.
 //!
-//! A change costs work in proportion to what it touches. Adding, cancelling
-//! or completing a flow, or changing a capacity, only marks the resources
-//! whose flow count or capacity moved; the next pass over the flows (the
-//! credit loop of an advance, or [`FlowNetwork::next_completion_time`],
-//! which re-rates and finds the minimum completion in one scan) re-rates
-//! just the flows that cross a marked resource, from the same
-//! `capacity / n` quotient as always, so every rate is bit-equal to a full
-//! recomputation. Each flow carries a 64-bit mask with bit `r mod 64` set
-//! for every resource on its path; a pass ORs the bits of the marked
-//! resources and walks only the paths whose mask intersects, so most
-//! untouched flows cost one AND. Busy time is accrued when a resource's
-//! flow count moves between 0 and 1, not on every advance.
+//! [`FlowNetwork::next_completion_time`] returns `now` plus the least
+//! `ceil(residual / rate)` in ticks over the live flows, and
+//! [`FlowNetwork::poll_completions`] removes exactly the flows whose
+//! residual at `now` is at most `DONE_EPS_BYTES`, in `FlowId` order. Rates,
+//! residuals, completion ticks and busy time are bit-equal to a full
+//! recomputation: every residual is still credited `min(rate * dt,
+//! residual)` on each advance. Bytes served are attributed when a flow
+//! leaves (its size minus its residual), and a read adds the progress of
+//! the flows still on the resource; they equal the per-advance sums up to
+//! summation rounding.
+//!
+//! # Cost of a change
+//!
+//! Live flows are packed into two `f64` columns, residuals and rates, so
+//! the passes every event still makes over all of them (the credit of an
+//! advance, the minimum search, the finished-flow scan of a poll) are
+//! tight loops over contiguous memory; no pass walks a path, touches a
+//! resource or chases a pointer. Adding, cancelling or completing a flow,
+//! or changing a capacity, marks the resources whose flow count or
+//! capacity moved, and the next re-rate pass (in an advance, or in
+//! [`FlowNetwork::next_completion_time`]) re-rates just the flows each
+//! marked resource lists, from the same `capacity / n` quotient as always:
+//! a share that fell is folded in with one `min`, and a share that rose
+//! sends only the flows whose rate it may have capped back to their whole
+//! path. Busy time is accrued when a resource's flow count moves between 0
+//! and 1.
 
 use crate::ps::{FlowId, Generation};
 use crate::time::{SimDuration, SimTime, TICKS_PER_SEC};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a resource within a [`FlowNetwork`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -58,30 +74,31 @@ struct NetResource {
     /// `capacity / active` as of the last re-rate pass; valid while
     /// `active > 0` and the resource is not marked.
     share: f64,
+    /// The share before the last re-rate pass, when that pass raised it.
+    raised_from: Option<f64>,
     /// Set when `active` or `capacity` changed since the last re-rate pass
     /// (the resource is then listed in [`FlowNetwork::marked`]).
     marked: bool,
-    bytes_served: f64,
+    /// Bytes served by the flows that have left this resource.
+    settled: f64,
+    /// Positions of the live flows crossing this resource, once per path
+    /// entry.
+    flows: Vec<u32>,
     /// Busy time of the closed busy periods.
     busy: SimDuration,
     /// Start of the open busy period; meaningful while `active > 0`.
     busy_since: SimTime,
 }
 
+/// The cold part of a live flow; the hot part lives in
+/// [`FlowNetwork::remaining`] and [`FlowNetwork::rates`].
 #[derive(Debug, Clone)]
 struct NetFlow {
     id: FlowId,
-    remaining: f64,
     bytes_total: f64,
     started: SimTime,
-    path: Box<[NetResourceId]>,
+    path: Vec<NetResourceId>,
     rate_cap: Option<f64>,
-    /// Bit `r mod 64` set for every resource `r` on the path: a cheap
-    /// pre-filter for "does the path cross a marked resource".
-    mask: u64,
-    /// Rate under the current membership, unless a resource on the path is
-    /// marked (then the next pass over the flows re-rates it first).
-    rate: f64,
 }
 
 /// One finished (or aborted) flow, as recorded by the opt-in flow log.
@@ -108,28 +125,56 @@ pub struct FlowLogEntry {
 
 /// A set of shared resources and the composite flows crossing them.
 ///
-/// Flows live in a `Vec` sorted by [`FlowId`]: the fluid credit loop must
-/// accumulate `bytes_served` in FlowId order for byte-reproducible traces,
-/// and sorted storage makes that the natural iteration order. New flows are
-/// placed by binary search; the engine's increasing ids land at the end, so
-/// inserting moves nothing. Per-flow rates are cached and re-rated only for flows
-/// crossing a resource marked by a membership or capacity change, and
-/// flows that cross the completion threshold are recorded in `done_buf` as
-/// they cross, so polling does not rescan the whole network.
+/// Live flows are packed densely: position `i` holds the flow's residual in
+/// `remaining[i]`, its rate in `rates[i]` and the rest in `flows[i]`, so the
+/// per-event passes sweep two contiguous `f64` columns. A removal moves the
+/// last flow into the freed position. `index` maps each live [`FlowId`] to
+/// its position, and each resource lists the positions of the flows
+/// crossing it.
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     resources: Vec<NetResource>,
+    remaining: Vec<f64>,
+    /// Rate under the current membership, unless a resource on the path is
+    /// marked (then the next re-rate pass re-rates it first).
+    rates: Vec<f64>,
     flows: Vec<NetFlow>,
+    /// Position of every live flow.
+    index: HashMap<FlowId, u32, BuildHasherDefault<IdHasher>>,
     last_update: SimTime,
     generation: u64,
     /// Resources whose `marked` flag is set, each listed once.
     marked: Vec<NetResourceId>,
-    /// Flows whose `remaining` has crossed [`DONE_EPS_BYTES`] and which have
-    /// not yet been returned by [`Self::poll_completions`] (may contain ids
-    /// cancelled since they crossed).
-    done_buf: Vec<FlowId>,
+    /// Emptied path buffers of removed flows, reused by new ones.
+    spare_paths: Vec<Vec<NetResourceId>>,
+    /// Finished flows found by a poll, as `(id, position)`; kept to reuse
+    /// its allocation.
+    finished: Vec<(FlowId, u32)>,
     log_flows: bool,
     flow_log: Vec<FlowLogEntry>,
+}
+
+/// Hashes a [`FlowId`] with one multiply. The map is only looked up,
+/// never iterated, so no result depends on the hash, and its keys are the
+/// simulator's own flow counters, not outside input that could be chosen
+/// to collide.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// `min(rate_cap, share(r) for r on path)`, or `f64::MAX` for a pathless,
@@ -149,11 +194,6 @@ fn path_rate(
         // Pathless, uncapped flow: completes instantly (latency-only).
         f64::MAX
     }
-}
-
-/// The [`NetFlow::mask`] bit of resource `r`.
-fn mask_bit(r: NetResourceId) -> u64 {
-    1 << (r.0 % 64)
 }
 
 fn mark(resources: &mut [NetResource], marked: &mut Vec<NetResourceId>, r: NetResourceId) {
@@ -203,18 +243,6 @@ fn release(
     mark(resources, marked, r);
 }
 
-/// Re-rate `fl` if a resource on its path is marked (shares of marked
-/// resources must already be current). `marked_mask` ORs the mask bits of
-/// the marked resources; a flow sharing none of them is skipped without
-/// walking its path, and a shared bit only means the exact check runs.
-#[inline]
-fn rerate_if_marked(fl: &mut NetFlow, resources: &[NetResource], marked_mask: u64) {
-    let path = &fl.path;
-    if fl.mask & marked_mask != 0 && path.iter().any(|r| resources[r.0 as usize].marked) {
-        fl.rate = path_rate(fl.rate_cap, path, |r| resources[r.0 as usize].share);
-    }
-}
-
 impl FlowNetwork {
     /// An empty network.
     pub fn new() -> Self {
@@ -236,8 +264,10 @@ impl FlowNetwork {
             capacity,
             active: 0,
             share: 0.0,
+            raised_from: None,
             marked: false,
-            bytes_served: 0.0,
+            settled: 0.0,
+            flows: Vec::new(),
             busy: SimDuration::ZERO,
             busy_since: SimTime::ZERO,
         });
@@ -257,9 +287,10 @@ impl FlowNetwork {
     /// Change the capacity of resource `r` at time `now` (fault injection: a
     /// degraded storage server serves at a fraction of its rated bandwidth).
     ///
-    /// Advances the fluid state first so service already rendered is credited
-    /// at the old rate, then bumps the generation so the engine reschedules
-    /// its pending completion event against the new rates.
+    /// Service already rendered stays at the old rate; the flows crossing
+    /// `r` are re-rated from `now` on, and the generation is bumped so the
+    /// engine reschedules its pending completion event against the new
+    /// rates.
     ///
     /// # Panics
     /// Panics on non-positive or non-finite capacity.
@@ -280,9 +311,13 @@ impl FlowNetwork {
         Generation(self.generation)
     }
 
-    /// Bytes served by resource `r` so far (advanced state only).
+    /// Bytes served by resource `r` up to the last update: the bytes of the
+    /// flows that have left it, plus the progress of the flows still on it.
     pub fn resource_bytes_served(&self, r: NetResourceId) -> f64 {
-        self.resources[r.0 as usize].bytes_served
+        let res = &self.resources[r.0 as usize];
+        res.flows.iter().fold(res.settled, |sum, &i| {
+            sum + (self.flows[i as usize].bytes_total - self.remaining[i as usize])
+        })
     }
 
     /// Time resource `r` has spent with ≥1 active flow, up to the last update.
@@ -307,7 +342,7 @@ impl FlowNetwork {
 
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// Current membership epoch.
@@ -331,7 +366,7 @@ impl FlowNetwork {
 
     /// Current rate of flow `f` in bytes/s, or `None` if not active.
     pub fn flow_rate(&self, f: FlowId) -> Option<f64> {
-        let fl = &self.flows[self.position(f).ok()?];
+        let fl = &self.flows[*self.index.get(&f)? as usize];
         Some(path_rate(fl.rate_cap, &fl.path, |r| {
             let res = &self.resources[r.0 as usize];
             debug_assert!(res.active > 0);
@@ -339,28 +374,41 @@ impl FlowNetwork {
         }))
     }
 
-    /// Index of flow `id` in `flows`, or where it would be inserted.
-    fn position(&self, id: FlowId) -> Result<usize, usize> {
-        self.flows.binary_search_by_key(&id, |fl| fl.id)
-    }
-
-    /// Bring the shares of marked resources up to date. Returns the OR of
-    /// their mask bits: nonzero when any resource is marked, i.e. when the
-    /// caller's pass over the flows must re-rate (and then call
-    /// [`Self::clear_marks`]).
-    fn refresh_shares(&mut self) -> u64 {
-        let mut mask = 0;
+    /// Re-rate the flows crossing a marked resource, from the shares of
+    /// the current membership; every other flow's rate is unchanged.
+    ///
+    /// Each rate ends up bit-equal to a fresh [`path_rate`] fold, without
+    /// walking most paths. `min` is exact, so a share that did not rise
+    /// is folded in as `rate.min(share)`. A risen share can only matter to
+    /// a flow whose rate is not below the old share (its bottleneck may
+    /// have been there); that flow is re-rated from its whole path, and
+    /// every other one keeps its rate, which was attained elsewhere and is
+    /// below every risen share on its path. A new flow starts at its cap
+    /// (or `f64::MAX`), so it takes every share on its path.
+    fn rerate(&mut self) {
         for &r in &self.marked {
             let res = &mut self.resources[r.0 as usize];
             if res.active > 0 {
+                let old = res.share;
                 res.share = res.capacity / res.active as f64;
+                res.raised_from = (res.share > old).then_some(old);
             }
-            mask |= mask_bit(r);
         }
-        mask
-    }
-
-    fn clear_marks(&mut self) {
+        let resources = &self.resources;
+        for &r in &self.marked {
+            let res = &resources[r.0 as usize];
+            for &i in &res.flows {
+                let rate = &mut self.rates[i as usize];
+                match res.raised_from {
+                    None => *rate = rate.min(res.share),
+                    Some(old) if *rate >= old => {
+                        let fl = &self.flows[i as usize];
+                        *rate = path_rate(fl.rate_cap, &fl.path, |q| resources[q.0 as usize].share);
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
         for r in self.marked.drain(..) {
             self.resources[r.0 as usize].marked = false;
         }
@@ -369,34 +417,15 @@ impl FlowNetwork {
     fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "flow network time went backwards");
         let dt = now.since(self.last_update).as_secs_f64();
-        if dt > 0.0 && !self.flows.is_empty() {
+        if dt > 0.0 && !self.remaining.is_empty() {
             // Rates are constant over (last_update, now]: membership changes
             // always advance first, and completions are event boundaries.
-            let marked_mask = self.refresh_shares();
-            // Accumulate in FlowId order: `bytes_served` sums floats across
-            // flows, so unordered iteration would leak per-process ULP noise
-            // into otherwise byte-reproducible traces. The sorted `Vec`
-            // iterates in exactly that order.
-            let resources = &mut self.resources;
-            let done_buf = &mut self.done_buf;
-            for fl in &mut self.flows {
-                if marked_mask != 0 {
-                    rerate_if_marked(fl, resources, marked_mask);
-                }
-                let was_done = fl.remaining <= DONE_EPS_BYTES;
-                let credit = (fl.rate * dt).min(fl.remaining);
-                fl.remaining -= credit;
-                // A composite flow moves its bytes through each device on the
-                // path, so each device serves the full credit.
-                for &r in &fl.path {
-                    resources[r.0 as usize].bytes_served += credit;
-                }
-                if !was_done && fl.remaining <= DONE_EPS_BYTES {
-                    done_buf.push(fl.id);
-                }
-            }
-            if marked_mask != 0 {
-                self.clear_marks();
+            self.rerate();
+            // `min(rate * dt, left)` as a select: the same value for these
+            // non-NaN operands, in a loop the compiler can vectorize.
+            for (left, &rate) in self.remaining.iter_mut().zip(&self.rates) {
+                let credit = rate * dt;
+                *left -= if credit < *left { credit } else { *left };
             }
         }
         self.last_update = now;
@@ -422,37 +451,35 @@ impl FlowNetwork {
             "flow size must be non-negative"
         );
         self.advance(now);
-        let Err(at) = self.position(id) else {
+        let i = u32::try_from(self.flows.len()).expect("too many flows");
+        if self.index.insert(id, i).is_some() {
             panic!("flow {id:?} already active");
-        };
+        }
         for &r in path {
             acquire(&mut self.resources, &mut self.marked, r, now);
+            self.resources[r.0 as usize].flows.push(i);
         }
         // A pathless, uncapped flow has infinite rate: it is a pure-latency
         // transfer whose bytes are already "delivered".
-        let remaining = if path.is_empty() && rate_cap.is_none() {
-            0.0
-        } else {
-            bytes
-        };
-        if remaining <= DONE_EPS_BYTES {
-            self.done_buf.push(id);
-        }
-        self.flows.insert(
-            at,
-            NetFlow {
-                id,
-                remaining,
-                bytes_total: bytes,
-                started: now,
-                path: path.into(),
-                rate_cap,
-                mask: path.iter().fold(0, |m, &r| m | mask_bit(r)),
-                // A flow with a path crosses resources `acquire` just marked,
-                // so the next pass rates it; a pathless rate never changes.
-                rate: path_rate(rate_cap, &[], |_| unreachable!()),
-            },
-        );
+        self.remaining
+            .push(if path.is_empty() && rate_cap.is_none() {
+                0.0
+            } else {
+                bytes
+            });
+        // A flow with a path crosses resources `acquire` just marked, so the
+        // next pass rates it; a pathless rate never changes.
+        self.rates
+            .push(path_rate(rate_cap, &[], |_| unreachable!()));
+        let mut kept = self.spare_paths.pop().unwrap_or_default();
+        kept.extend_from_slice(path);
+        self.flows.push(NetFlow {
+            id,
+            bytes_total: bytes,
+            started: now,
+            path: kept,
+            rate_cap,
+        });
         self.generation += 1;
         Generation(self.generation)
     }
@@ -460,91 +487,127 @@ impl FlowNetwork {
     /// Abort a flow, returning its unserved bytes (`None` if not active).
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance(now);
-        let flow = self.remove_at(self.position(id).ok()?, now, true);
+        let i = *self.index.get(&id)?;
+        let left = self.settle(i, now, true);
+        self.remove(i);
         self.generation += 1;
-        Some(flow.remaining)
+        Some(left)
     }
 
-    /// Remove the flow at index `i` of `flows` at `now`: release its
-    /// resources and log it if the flow log is on.
-    fn remove_at(&mut self, i: usize, now: SimTime, cancelled: bool) -> NetFlow {
-        let flow = self.flows.remove(i);
-        for &r in &flow.path {
+    /// The flow at position `i` leaves at `now`: release its resources,
+    /// settle its bytes on them and log it if the flow log is on. Returns
+    /// its residual.
+    fn settle(&mut self, i: u32, now: SimTime, cancelled: bool) -> f64 {
+        let fl = &self.flows[i as usize];
+        let left = self.remaining[i as usize];
+        let served = fl.bytes_total - left;
+        for &r in fl.path.iter() {
             release(&mut self.resources, &mut self.marked, r, now);
+            self.resources[r.0 as usize].settled += served;
         }
         if self.log_flows {
             self.flow_log.push(FlowLogEntry {
-                id: flow.id,
-                bytes: flow.bytes_total,
-                started: flow.started,
+                id: fl.id,
+                bytes: fl.bytes_total,
+                started: fl.started,
                 ended: now,
                 cancelled,
             });
         }
-        flow
+        left
+    }
+
+    /// Remove the settled flow at position `i`; the last flow moves into
+    /// its place.
+    fn remove(&mut self, i: u32) {
+        let fl = self.flows.swap_remove(i as usize);
+        self.remaining.swap_remove(i as usize);
+        self.rates.swap_remove(i as usize);
+        for &r in fl.path.iter() {
+            let list = &mut self.resources[r.0 as usize].flows;
+            let at = list.iter().position(|&p| p == i);
+            list.swap_remove(at.expect("a live flow is listed on its path"));
+        }
+        self.index.remove(&fl.id);
+        let mut kept = fl.path;
+        kept.clear();
+        self.spare_paths.push(kept);
+        let last = self.flows.len() as u32;
+        if i == last {
+            return;
+        }
+        // The flow that was last now sits at `i`.
+        let moved = &self.flows[i as usize];
+        for &r in moved.path.iter() {
+            for p in &mut self.resources[r.0 as usize].flows {
+                if *p == last {
+                    *p = i;
+                }
+            }
+        }
+        self.index.insert(moved.id, i);
     }
 
     /// Advance to `now` and remove+return all finished flows in FlowId order.
     pub fn poll_completions(&mut self, now: SimTime) -> Vec<FlowId> {
         self.advance(now);
-        if self.done_buf.is_empty() {
+        let mut done = std::mem::take(&mut self.finished);
+        for (i, &left) in self.remaining.iter().enumerate() {
+            if left <= DONE_EPS_BYTES {
+                done.push((self.flows[i].id, i as u32));
+            }
+        }
+        if done.is_empty() {
+            self.finished = done;
             return Vec::new();
         }
-        // `done_buf` holds every flow that has crossed the completion
-        // threshold since the previous poll; cancelled flows are filtered out
-        // (a flow's `remaining` never grows, so anything still present under
-        // the same id and below the threshold is still finished).
-        let mut done = std::mem::take(&mut self.done_buf);
+        // Settle in FlowId order (the flow log's order), then remove from
+        // the highest position down: a removal moves the last flow, which
+        // is never a finished one still to be removed.
         done.sort_unstable();
-        done.dedup();
-        done.retain(|&id| {
-            self.position(id)
-                .is_ok_and(|i| self.flows[i].remaining <= DONE_EPS_BYTES)
-        });
-        debug_assert!(
-            done.len()
-                == self
-                    .flows
-                    .iter()
-                    .filter(|fl| fl.remaining <= DONE_EPS_BYTES)
-                    .count(),
-            "done buffer out of sync with flow residuals"
-        );
-        if !done.is_empty() {
-            for &id in &done {
-                let i = self.position(id).expect("finished flows are present");
-                self.remove_at(i, now, false);
-            }
-            self.generation += 1;
+        let ids = done.iter().map(|&(id, _)| id).collect();
+        for &(_, i) in &done {
+            self.settle(i, now, false);
         }
-        done
+        done.sort_unstable_by_key(|&(_, i)| std::cmp::Reverse(i));
+        for &(_, i) in &done {
+            self.remove(i);
+        }
+        done.clear();
+        self.finished = done;
+        self.generation += 1;
+        ids
     }
 
     /// Absolute time of the next completion assuming no membership changes,
     /// rounded up to a whole tick.
     pub fn next_completion_time(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.flows.is_empty() {
+        if self.remaining.is_empty() {
             return None;
         }
+        self.rerate();
         let since = now.since(self.last_update).as_secs_f64();
-        // One pass: re-rate the flows a change touched, then take the
-        // minimum time to completion.
-        let marked_mask = self.refresh_shares();
-        let resources = &self.resources;
+        // Selects stand in for `min`/`max`: the same values for these
+        // non-NaN operands, in fewer instructions. At `since == 0` the
+        // residual is `left` itself (`left - rate * 0.0` is `left`).
         let mut min_secs = f64::INFINITY;
-        for fl in &mut self.flows {
-            if marked_mask != 0 {
-                rerate_if_marked(fl, resources, marked_mask);
+        for (&left, &rate) in self.remaining.iter().zip(&self.rates) {
+            if rate > 0.0 {
+                let left = if since > 0.0 {
+                    let rest = left - rate * since;
+                    if rest > 0.0 {
+                        rest
+                    } else {
+                        0.0
+                    }
+                } else {
+                    left
+                };
+                let secs = left / rate;
+                if secs < min_secs {
+                    min_secs = secs;
+                }
             }
-            let rate = fl.rate;
-            if rate <= 0.0 {
-                continue;
-            }
-            let remaining = (fl.remaining - rate * since).max(0.0);
-            min_secs = min_secs.min(remaining / rate);
-        }
-        if marked_mask != 0 {
-            self.clear_marks();
         }
         if !min_secs.is_finite() {
             return None;
@@ -757,6 +820,83 @@ mod tests {
         let t = net.next_completion_time(SimTime::ZERO).unwrap();
         assert_eq!(t, SimTime::from_secs(1));
         assert_eq!(net.poll_completions(t), vec![FlowId(2)]);
+    }
+
+    /// Every resource lists exactly the positions of the flows crossing it
+    /// (once per path entry), and the index maps each id to its position.
+    fn assert_consistent(net: &FlowNetwork) {
+        let n = net.flows.len();
+        assert_eq!(
+            (net.remaining.len(), net.rates.len(), net.index.len()),
+            (n, n, n)
+        );
+        for (i, fl) in net.flows.iter().enumerate() {
+            assert_eq!(net.index[&fl.id], i as u32, "{:?}", fl.id);
+        }
+        for (r, res) in net.resources.iter().enumerate() {
+            let mut listed = res.flows.clone();
+            listed.sort_unstable();
+            let crossing: Vec<u32> = (0..n as u32)
+                .flat_map(|i| {
+                    let path = &net.flows[i as usize].path;
+                    path.iter().filter(|q| q.0 as usize == r).map(move |_| i)
+                })
+                .collect();
+            assert_eq!(listed, crossing, "flows listed on resource {r}");
+            assert_eq!(res.active as usize, crossing.len());
+        }
+    }
+
+    #[test]
+    fn positions_stay_consistent_under_churn_on_a_hot_resource() {
+        let mut net = FlowNetwork::new();
+        let hot = net.add_resource("hot", 1000.0);
+        let cold: Vec<_> = (0..4)
+            .map(|i| net.add_resource(format!("cold{i}"), 50.0 + 10.0 * i as f64))
+            .collect();
+        let mut now = SimTime::ZERO;
+        let mut live = Vec::new();
+        let (mut next, mut completed, mut cancelled, mut peak) = (0u64, 0, 0, 0);
+        for op in 0..5_000u64 {
+            match op % 7 {
+                // Every flow crosses the hot resource, some of them twice, so
+                // each change re-rates all of them and each removal moves
+                // the last flow's entries on it.
+                0..=3 => {
+                    let c = cold[(op % 4) as usize];
+                    let path = if op % 5 == 0 {
+                        vec![hot, c, hot]
+                    } else {
+                        vec![hot, c]
+                    };
+                    let bytes = 10.0 + (op * 37 % 500) as f64;
+                    net.add_flow(now, FlowId(next), bytes, &path, None);
+                    live.push(FlowId(next));
+                    next += 1;
+                }
+                4 if !live.is_empty() => {
+                    let id = live.swap_remove((op as usize * 13) % live.len());
+                    assert!(net.cancel_flow(now, id).is_some());
+                    cancelled += 1;
+                }
+                _ => {
+                    if let Some(t) = net.next_completion_time(now) {
+                        now = t;
+                    }
+                    let done = net.poll_completions(now);
+                    live.retain(|id| !done.contains(id));
+                    completed += done.len();
+                }
+            }
+            assert_eq!(net.active_flows(), live.len());
+            assert_consistent(&net);
+            peak = peak.max(live.len());
+        }
+        assert_eq!(completed + cancelled + live.len(), next as usize);
+        assert!(
+            completed > 500 && peak > 20,
+            "{completed} done, peak {peak}"
+        );
     }
 
     #[test]

@@ -1,14 +1,22 @@
-//! Differential test of the incremental [`FlowNetwork`] against the
-//! full-recompute network it replaced.
+//! Differential test of the packed [`FlowNetwork`] against the eager,
+//! full-recompute network it descends from.
 //!
-//! `oracle` is the previous implementation, kept verbatim except for its
+//! `oracle` is that eager implementation, kept verbatim except for its
 //! imports (it shares `NetResourceId`, `FlowLogEntry` and the time types
 //! with the crate): flows in a `BTreeMap`, every rate recomputed after any
 //! membership change, every flow scanned for the next completion, busy time
-//! accrued over all resources on every advance. Both networks are driven
-//! through the same seeded operation sequences, and after every operation
-//! each returned value and every observable piece of state must be equal
-//! bit for bit.
+//! accrued over all resources on every advance, and bytes served credited
+//! to every resource on every advance. Both networks are driven through the
+//! same seeded operation sequences, and after every operation each returned
+//! value and every observable piece of state must agree.
+//!
+//! Everything is compared bit for bit — rates, residuals returned by a
+//! cancel, completion ticks, completed-id lists, flow counts, capacities,
+//! names, the generation, busy time and the flow log — except
+//! [`FlowNetwork::resource_bytes_served`]. The packed network attributes a
+//! flow's bytes when it leaves instead of summing a credit per advance, so
+//! the two totals differ by summation rounding and are compared within
+//! [`close`]'s tolerance.
 
 use simcore::rng::{substream, DetRng};
 use simcore::{FlowId, FlowNetwork, NetResourceId, SimDuration, SimTime};
@@ -433,6 +441,11 @@ fn bits(x: Option<f64>) -> Option<u64> {
     x.map(f64::to_bits)
 }
 
+/// Bytes-served totals agree to 1e-9 relative plus 1e-6 bytes.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) + 1e-6
+}
+
 impl Pair {
     fn new(rng: &mut DetRng, logging: bool) -> Self {
         let n = rng.range_usize(1, 10);
@@ -478,11 +491,8 @@ impl Pair {
                 old.resource_capacity(r).to_bits(),
                 "{ctx}: capacity of {r:?}"
             );
-            assert_eq!(
-                new.resource_bytes_served(r).to_bits(),
-                old.resource_bytes_served(r).to_bits(),
-                "{ctx}: bytes served by {r:?}"
-            );
+            let (a, b) = (new.resource_bytes_served(r), old.resource_bytes_served(r));
+            assert!(close(a, b), "{ctx}: bytes served by {r:?}: {a} vs {b}");
             assert_eq!(
                 new.resource_busy_time(r),
                 old.resource_busy_time(r),
@@ -692,27 +702,27 @@ fn crowded_network_matches_the_oracle() {
     }
 }
 
-/// More than 128 resources, so several share each bit of a flow's path
-/// mask (`r mod 64`): paths cross `r`, `r + 64` and `r + 128`, alone and
-/// together, and a change to one resource must re-rate exactly the flows
-/// crossing it, never a flow that only shares its bit.
+/// A wide network of 140 resources whose paths cross `r`, `r + 64` and
+/// `r + 128`, alone and together: a change to one resource must re-rate
+/// exactly the flows crossing it, and a removal must move the last flow's
+/// entries on every resource it crosses.
 #[test]
-fn aliased_mask_bits_match_the_oracle() {
+fn wide_network_matches_the_oracle() {
     const RESOURCES: usize = 140;
-    let mut aliased = 0;
+    let mut multi_hop = 0;
     for case in 0..8 {
         let mut rng = substream(0xF10E_0004, case);
         let mut pair = Pair::with_resources(&mut rng, false, RESOURCES);
         for op in 0..1_500 {
             if rng.chance(0.3) {
-                // A few low bits, so flows keep meeting on them.
+                // A few low indices, so flows keep meeting on them.
                 let r = rng.range_usize(0, 6);
                 let path: Vec<NetResourceId> = [r, r + 64, r + 128]
                     .into_iter()
                     .filter(|_| rng.chance(0.6))
                     .map(|i| pair.resources[i])
                     .collect();
-                aliased += usize::from(path.len() > 1);
+                multi_hop += usize::from(path.len() > 1);
                 let id = pair.fresh_id(&mut rng);
                 let cap = rng.chance(0.2).then(|| rng.range_f64(1.0, 1.0e5));
                 let bytes = rng.range_f64(1.0, 1.0e6);
@@ -720,7 +730,7 @@ fn aliased_mask_bits_match_the_oracle() {
                 assert_eq!(g, pair.old.add_flow(pair.now, id, bytes, &path, cap));
                 pair.live.push(id);
             } else if rng.chance(0.1) {
-                // A capacity change on one of the aliased resources.
+                // A capacity change on one of those resources.
                 let r = pair.resources[rng.range_usize(0, 6) + 64 * rng.range_usize(0, 3)];
                 let cap = rng.range_f64(1.0, 1.0e4);
                 let g = pair.new.set_resource_capacity(pair.now, r, cap);
@@ -733,7 +743,7 @@ fn aliased_mask_bits_match_the_oracle() {
         assert!(pair.cov.completions > 0);
     }
     assert!(
-        aliased >= 100,
-        "only {aliased} paths with aliased resources"
+        multi_hop >= 100,
+        "only {multi_hop} paths with several resources"
     );
 }

@@ -11,6 +11,10 @@
 //! slowdowns. Quick mode (`--quick` or `BENCH_QUICK=1`) shrinks inputs for
 //! CI; reports are only comparable within the same mode (the suite name
 //! records it).
+//!
+//! Every wall is the median of its samples (at least five in quick mode),
+//! and every overhead ratio divides the medians of an interleaved A/B pair
+//! (A B A B …), so both sides see the same host drift.
 
 use bench::profile::{BenchReport, Better};
 use hybrid_hadoop::hybrid_core::{run_trace_streaming_with, run_trace_with};
@@ -44,7 +48,7 @@ fn main() {
         || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1");
     let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
     let mode = if quick { "quick" } else { "full" };
-    let iters = if quick { 2 } else { 5 };
+    let iters = 5;
     const GB: u64 = 1 << 30;
 
     // --- engine suite: single-job runs and the observability layer -------
@@ -288,11 +292,30 @@ fn main() {
     fair.engine_out.task_sched = TaskSchedPolicy::Fair;
     let policy = CrossPointScheduler::default();
     let trace = generate_facebook_trace(&cfg);
-    let replay_iters = if quick { 2 } else { 1 };
-    let wall = bench::bench("trace/replay", replay_iters, || {
-        run_trace_with(Architecture::Hybrid, &policy, &trace, &fair)
-    });
-    drop(trace);
+    let replay_iters = if quick { 5 } else { 1 };
+    let replay = || run_trace_with(Architecture::Hybrid, &policy, &trace, &fair);
+
+    // Telemetry overhead probe: the same replay with the bounded-memory
+    // OnlineAggregator attached, interleaved with the plain replay. The
+    // gated entry is the on/off ratio of median walls — stable across
+    // machines, so the regression threshold bites on the aggregator's
+    // overhead, not the host's speed.
+    let mut with_metrics = fair.clone();
+    with_metrics.telemetry = Some(hybrid_hadoop::obs::TelemetryConfig::default());
+    let last = std::cell::RefCell::new(None);
+    let (wall, metrics_wall) = bench::bench_pair(
+        ["trace/replay", "trace/replay_metrics_on"],
+        replay_iters,
+        replay,
+        || {
+            *last.borrow_mut() = Some(run_trace_with(
+                Architecture::Hybrid,
+                &policy,
+                &trace,
+                &with_metrics,
+            ));
+        },
+    );
     trace_report.push("trace/replay_wall", wall, "s", Better::Lower);
     trace_report.push(
         "trace/replay_jobs_per_s",
@@ -339,22 +362,6 @@ fn main() {
         Better::Higher,
     );
 
-    // Telemetry overhead probe: the same replay with the bounded-memory
-    // OnlineAggregator attached. The gated entry is the on/off wall ratio —
-    // stable across machines, so the regression threshold bites on the
-    // aggregator's overhead, not the host's speed.
-    let trace = generate_facebook_trace(&cfg);
-    let mut with_metrics = fair.clone();
-    with_metrics.telemetry = Some(hybrid_hadoop::obs::TelemetryConfig::default());
-    let last = std::cell::RefCell::new(None);
-    let metrics_wall = bench::bench("trace/replay_metrics_on", replay_iters, || {
-        *last.borrow_mut() = Some(run_trace_with(
-            Architecture::Hybrid,
-            &policy,
-            &trace,
-            &with_metrics,
-        ));
-    });
     let observed = last.into_inner().expect("bench ran at least once");
     let agg = observed
         .telemetry
@@ -380,28 +387,34 @@ fn main() {
     );
 
     // Doctor overhead probe: the same observed replay with the anomaly
-    // detectors folded in on top of the aggregator. The gated entry is the
-    // (doctor+metrics)/(metrics) wall ratio — the doctor rides the same
-    // event stream the aggregator already walks, so the ceiling pins its
-    // incremental cost (per-key log-histograms, burn-rate windows, the
-    // flight-recorder ring) rather than the cost of observing at all.
+    // detectors folded in on top of the aggregator, interleaved with the
+    // aggregator alone. The gated entry is the (doctor+metrics)/(metrics)
+    // ratio of median walls — the doctor rides the same event stream the
+    // aggregator already walks, so the ceiling pins its incremental cost
+    // (per-key log-histograms, burn-rate windows, the flight-recorder
+    // ring) rather than the cost of observing at all.
     let mut with_doctor = with_metrics.clone();
     with_doctor.doctor = Some(hybrid_hadoop::obs::DoctorConfig::default());
     let last = std::cell::RefCell::new(None);
-    let doctor_wall = bench::bench("trace/replay_doctor_on", replay_iters, || {
-        *last.borrow_mut() = Some(run_trace_with(
-            Architecture::Hybrid,
-            &policy,
-            &trace,
-            &with_doctor,
-        ));
-    });
+    let (metrics_base, doctor_wall) = bench::bench_pair(
+        ["trace/replay_metrics_on", "trace/replay_doctor_on"],
+        replay_iters,
+        || run_trace_with(Architecture::Hybrid, &policy, &trace, &with_metrics),
+        || {
+            *last.borrow_mut() = Some(run_trace_with(
+                Architecture::Hybrid,
+                &policy,
+                &trace,
+                &with_doctor,
+            ));
+        },
+    );
     let doctored = last.into_inner().expect("bench ran at least once");
     let doc = doctored.doctor.as_deref().expect("doctor was requested");
     trace_report.push("trace/replay_doctor_wall", doctor_wall, "s", Better::Lower);
     trace_report.push(
         "obs/doctor_overhead",
-        doctor_wall / metrics_wall,
+        doctor_wall / metrics_base,
         "x",
         Better::Lower,
     );
@@ -414,17 +427,23 @@ fn main() {
 
     // Closed-loop overhead probe: the same replay routed through the
     // adaptive scheduler (sliding-window estimators + periodic
-    // recalibration) instead of the frozen thresholds. Gated as the
-    // adaptive/static wall ratio for the same cross-machine stability as
-    // the telemetry probe; the loop's bookkeeping must stay cheap.
-    let adaptive_wall = bench::bench("trace/replay_adaptive", replay_iters, || {
-        hybrid_hadoop::hybrid_core::run_trace_adaptive_with(
-            Architecture::Hybrid,
-            AdaptiveScheduler::default(),
-            &trace,
-            &fair,
-        )
-    });
+    // recalibration) instead of the frozen thresholds, interleaved with the
+    // static replay. Gated as the adaptive/static ratio of median walls for
+    // the same cross-machine stability as the telemetry probe; the loop's
+    // bookkeeping must stay cheap.
+    let (static_wall, adaptive_wall) = bench::bench_pair(
+        ["trace/replay", "trace/replay_adaptive"],
+        replay_iters,
+        replay,
+        || {
+            hybrid_hadoop::hybrid_core::run_trace_adaptive_with(
+                Architecture::Hybrid,
+                AdaptiveScheduler::default(),
+                &trace,
+                &fair,
+            )
+        },
+    );
     trace_report.push(
         "trace/replay_adaptive_wall",
         adaptive_wall,
@@ -433,14 +452,15 @@ fn main() {
     );
     trace_report.push(
         "trace/adaptive_overhead",
-        adaptive_wall / wall,
+        adaptive_wall / static_wall,
         "x",
         Better::Lower,
     );
 
     // Windowed parallel-replay probe: the same overloaded replay through
-    // the conservative time-window executor. The gated entry is the
-    // windowed/sequential wall ratio — cross-machine-stable, so the
+    // the conservative time-window executor, interleaved with the
+    // sequential loop. The gated entry is the windowed/sequential ratio of
+    // median walls — cross-machine-stable, so the
     // threshold bites on the executor's bookkeeping (drain, classify,
     // safe-prefix scan), not the host's core count: on a 1-core runner the
     // ratio records pure overhead (> 1), on many cores the classification
@@ -451,14 +471,19 @@ fn main() {
     let mut windowed = fair.clone();
     windowed.replay = ReplayParallelism::windowed(windowed_threads);
     let last = std::cell::RefCell::new(None);
-    let windowed_wall = bench::bench("trace/replay_windowed", replay_iters, || {
-        *last.borrow_mut() = Some(run_trace_with(
-            Architecture::Hybrid,
-            &policy,
-            &trace,
-            &windowed,
-        ));
-    });
+    let (sequential_wall, windowed_wall) = bench::bench_pair(
+        ["trace/replay", "trace/replay_windowed"],
+        replay_iters,
+        replay,
+        || {
+            *last.borrow_mut() = Some(run_trace_with(
+                Architecture::Hybrid,
+                &policy,
+                &trace,
+                &windowed,
+            ));
+        },
+    );
     let out = last.into_inner().expect("windowed replay ran");
     assert_eq!(
         out.makespan, outcome.makespan,
@@ -478,7 +503,7 @@ fn main() {
     );
     trace_report.push(
         "trace/windowed_overhead",
-        windowed_wall / wall,
+        windowed_wall / sequential_wall,
         "x",
         Better::Lower,
     );
@@ -535,8 +560,9 @@ fn main() {
 
     // Erasure-coding overhead probe: the same THadoop slice replayed on
     // the default HDFS model and on the durable EC(6+3) backend (racked,
-    // inputs retained, no faults). The gated entry is the EC/plain wall
-    // ratio — machine-stable like the other on/off ratios — pinning the
+    // inputs retained, no faults), interleaved. The gated entry is the
+    // EC/plain ratio of median walls — machine-stable like the other on/off
+    // ratios — pinning the
     // cost of group placement, parity write fan-out, and the degraded-read
     // machinery sitting idle on the healthy path.
     let ec_jobs = if quick { 300 } else { 2_000 };
@@ -547,14 +573,6 @@ fn main() {
         ..Default::default()
     };
     let ec_trace = generate_facebook_trace(&ec_cfg);
-    let plain_wall = bench::bench("trace/thadoop_plain_replay", replay_iters, || {
-        run_trace_with(
-            Architecture::THadoop,
-            &AlwaysOut,
-            &ec_trace,
-            &DeploymentTuning::default(),
-        )
-    });
     let ec_tuning = DeploymentTuning {
         durability: Some(hybrid_hadoop::storage::DurabilityConfig {
             scheme: hybrid_hadoop::storage::RedundancyScheme::ErasureCoded { k: 6, m: 3 },
@@ -564,9 +582,19 @@ fn main() {
         retain_files: true,
         ..Default::default()
     };
-    let ec_wall = bench::bench("trace/thadoop_ec_replay", replay_iters, || {
-        run_trace_with(Architecture::THadoop, &AlwaysOut, &ec_trace, &ec_tuning)
-    });
+    let (plain_wall, ec_wall) = bench::bench_pair(
+        ["trace/thadoop_plain_replay", "trace/thadoop_ec_replay"],
+        replay_iters,
+        || {
+            run_trace_with(
+                Architecture::THadoop,
+                &AlwaysOut,
+                &ec_trace,
+                &DeploymentTuning::default(),
+            )
+        },
+        || run_trace_with(Architecture::THadoop, &AlwaysOut, &ec_trace, &ec_tuning),
+    );
     trace_report.push("trace/ec_replay_wall", ec_wall, "s", Better::Lower);
     trace_report.push(
         "trace/ec_overhead",

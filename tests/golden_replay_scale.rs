@@ -257,5 +257,5 @@ fn fixed_seed_1k_observed_replay_is_byte_identical() {
         .as_deref()
         .expect("observed run records a trace")
         .chrome_trace();
-    assert_eq!(fingerprint(&observed, &chrome), 0xff31_ebc2_3e6c_2b9b);
+    assert_eq!(fingerprint(&observed, &chrome), 0x4274_c42e_f7d0_dcf3);
 }
